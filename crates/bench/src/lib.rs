@@ -4,7 +4,7 @@
 //! exhibit (`table1`, `fig3`, `fig4`, `fig5`, `fig6`, `ablation`) plus
 //! Criterion micro-benchmarks of the substrates (`cargo bench`).
 //!
-//! Every binary reads three environment variables:
+//! Every binary reads four environment variables:
 //!
 //! * `COLT_SCALE` — data scale relative to the paper's Table 1
 //!   (default: 0.025 = 1/40),
@@ -12,22 +12,63 @@
 //! * `COLT_THREADS` — worker threads for the parallel harness
 //!   (default: available parallelism). Results are bit-identical at
 //!   every thread count; only wall-clock time changes.
+//! * `COLT_OBS` — observability level, `off`, `summary` or `full`
+//!   (default: `summary`; see `colt_obs`).
+//!
+//! Unset or blank means the default. Any other value must parse: a
+//! binary given `COLT_SCALE=0,01` or `COLT_OBS=ful` prints an error
+//! naming the variable and the value and exits with status 2 (see
+//! [`check_env`]) instead of running at a default nobody asked for.
 //!
 //! Results are printed to stdout in a form that pastes directly into
 //! `EXPERIMENTS.md`.
 
 #![forbid(unsafe_code)]
 
+pub use colt_obs::EnvError;
+use colt_obs::parse_env;
 use colt_workload::{generate, TpchData, DEFAULT_SCALE};
 
-/// Data scale from `COLT_SCALE` (default [`DEFAULT_SCALE`]).
-pub fn scale() -> f64 {
-    std::env::var("COLT_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(DEFAULT_SCALE)
+/// Data scale from `COLT_SCALE` (default [`DEFAULT_SCALE`]): a finite
+/// positive number, or an [`EnvError`].
+fn try_scale() -> Result<f64, EnvError> {
+    parse_env("COLT_SCALE", "a positive number such as 0.01", |s| {
+        s.trim().parse::<f64>().ok().filter(|x| x.is_finite() && *x > 0.0)
+    })
+    .map(|v| v.unwrap_or(DEFAULT_SCALE))
 }
 
-/// Master seed from `COLT_SEED` (default 42).
+/// Master seed from `COLT_SEED` (default 42): an unsigned integer, or
+/// an [`EnvError`].
+fn try_seed() -> Result<u64, EnvError> {
+    parse_env("COLT_SEED", "an unsigned integer", |s| s.trim().parse().ok())
+        .map(|v| v.unwrap_or(42))
+}
+
+/// Check every environment variable the binaries read — `COLT_SCALE`,
+/// `COLT_SEED`, `COLT_THREADS` and `COLT_OBS` — returning the first
+/// malformed one.
+pub fn check_env() -> Result<(), EnvError> {
+    try_scale()?;
+    try_seed()?;
+    parse_env("COLT_THREADS", "a positive integer", |s| {
+        s.trim().parse::<usize>().ok().filter(|&n| n > 0)
+    })?;
+    colt_obs::Level::try_from_env()?;
+    Ok(())
+}
+
+/// Data scale from `COLT_SCALE` (default [`DEFAULT_SCALE`]). Checks the
+/// whole environment first ([`check_env`]); on a malformed variable the
+/// process prints the error and exits with status 2 ([`EnvError::exit`]).
+pub fn scale() -> f64 {
+    check_env().and_then(|()| try_scale()).unwrap_or_else(|e| e.exit())
+}
+
+/// Master seed from `COLT_SEED` (default 42). Checks the whole
+/// environment first, exiting with status 2 like [`scale`].
 pub fn seed() -> u64 {
-    std::env::var("COLT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(42)
+    check_env().and_then(|()| try_seed()).unwrap_or_else(|e| e.exit())
 }
 
 /// Worker-thread count for the parallel harness: `COLT_THREADS` if set,

@@ -14,8 +14,8 @@
 
 use crate::batch::TableLayout;
 use crate::error::ExecError;
-use crate::executor::{Executor, QueryResult};
-use crate::plan::{Plan, PlanNode};
+use crate::executor::{Executor, Need, QueryResult};
+use crate::plan::Plan;
 use crate::query::Query;
 use colt_catalog::ColRef;
 use colt_storage::{IoStats, Value};
@@ -175,31 +175,15 @@ impl<'a> Executor<'a> {
     ) -> Result<(QueryResult, Vec<Vec<Value>>), ExecError> {
         let mut io = IoStats::new();
         let db = self.database();
-        // A single-scan plan's output layout is known before execution,
-        // so the fold's column needs push down as a scan projection:
-        // only group-by and aggregate input columns are materialized
-        // (scan predicates are evaluated on the heap rows before the
-        // gather, so they need no projection entry). Join plans settle
-        // their layout during execution — build/probe order is
-        // cost-based — so they run unprojected. Charges are identical
-        // either way; the projection only skips value clones.
-        let (input, group_pos, agg_pos) = match &plan.root {
-            PlanNode::Scan { table, path, .. } => {
-                let layout = TableLayout::single(db, *table);
-                let (group_pos, agg_pos) = resolve_spec(db, &layout, spec)?;
-                let mut proj: Vec<usize> =
-                    group_pos.iter().copied().chain(agg_pos.iter().flatten().copied()).collect();
-                proj.sort_unstable();
-                proj.dedup();
-                let input = self.run_scan(query, *table, path, &mut io, true, Some(&proj))?;
-                (input, group_pos, agg_pos)
-            }
-            root => {
-                let input = self.run(query, root, &mut io, true)?;
-                let (group_pos, agg_pos) = resolve_spec(db, &input.layout, spec)?;
-                (input, group_pos, agg_pos)
-            }
-        };
+        // The fold reads only group-by and aggregate input columns; the
+        // column-need pass pushes them down the plan, so every scan
+        // gathers just those plus the join keys above it. Charges are
+        // identical either way — the pruning only skips value clones.
+        let need = Need::Cols(
+            spec.group_by.iter().copied().chain(spec.exprs.iter().filter_map(|e| e.col)).collect(),
+        );
+        let input = self.run(query, &plan.root, &mut io, &need)?;
+        let (group_pos, agg_pos) = resolve_spec(db, &input.layout, spec)?;
 
         // Group lookup is hash-based, key column at a time, mirroring the
         // hash-join build phase. Deliberately HashMaps: point-lookup only

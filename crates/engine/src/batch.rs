@@ -143,21 +143,14 @@ impl ColumnBatch {
         &self.columns[col][row]
     }
 
-    /// Internal: a dense batch whose columns are known equal-length by
-    /// construction (operators build all columns in lockstep).
-    pub(crate) fn dense(columns: Vec<Vec<Value>>) -> Self {
-        let rows = columns.first().map_or(0, Vec::len);
-        debug_assert!(columns.iter().all(|c| c.len() == rows));
-        ColumnBatch { columns, rows, sel: None }
-    }
-
-    /// Internal: a dense batch with an explicit row count whose
-    /// non-materialized columns are left *empty* (a scan-level
-    /// projection). Only valid when every consumer reads materialized
-    /// columns exclusively — the aggregate fold over a single-scan plan
-    /// guarantees this by projecting exactly the columns it touches.
-    /// Reading a pruned column via [`ColumnBatch::val`] panics, loudly,
-    /// instead of returning wrong data.
+    /// Internal: a dense batch with an explicit row count. Columns no
+    /// consumer reads are left *empty* (pruned by the executor's
+    /// column-need pass), so the count cannot be inferred from any one
+    /// column. Only valid when every consumer reads materialized columns
+    /// exclusively — the need pass guarantees it by materializing every
+    /// column an ancestor names. Reading a pruned column via
+    /// [`ColumnBatch::val`] panics, loudly, instead of returning wrong
+    /// data.
     pub(crate) fn dense_projected(columns: Vec<Vec<Value>>, rows: usize) -> Self {
         debug_assert!(columns.iter().all(|c| c.is_empty() || c.len() == rows));
         ColumnBatch { columns, rows, sel: None }

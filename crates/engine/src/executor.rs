@@ -8,7 +8,10 @@
 //! [`ColumnBatch`]es (per-column value vectors plus a selection vector;
 //! see [`crate::batch`]) instead of row-major `Vec<Value>` rows, and
 //! predicates are evaluated over whole column chunks into a selection
-//! vector before any value is copied.
+//! vector before any value is copied. A top-down column-need pass
+//! (see `Need`) tells every operator which columns its consumer reads,
+//! so values nobody reads — a count-only join's non-key columns — are
+//! never copied at all.
 //!
 //! None of this changes what is *charged*: every operator charges
 //! [`IoStats`] per page and per tuple processed, which is invariant to
@@ -19,10 +22,11 @@
 use crate::batch::{ColumnBatch, TableLayout, BATCH_ROWS};
 use crate::error::ExecError;
 use crate::plan::{AccessPath, Plan, PlanNode};
-use crate::query::{PredicateKind, Query, SelPred};
+use crate::query::{JoinPred, PredicateKind, Query, SelPred};
 use colt_catalog::{ColRef, Database, PhysicalConfig, TableId};
 use colt_storage::{IoStats, Row, RowId, Value};
 use std::collections::HashMap;
+use std::iter::once;
 use std::ops::Bound;
 
 /// Result of executing one query.
@@ -40,8 +44,9 @@ pub struct QueryResult {
 /// What [`Executor::execute`] should retain of the result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Collect {
-    /// Count rows and charge I/O, but do not keep result values. Scans
-    /// and joins at the plan root skip materialization entirely — the
+    /// Count rows and charge I/O, but do not keep result values. The
+    /// root operator produces no values at all, and the operators below
+    /// it materialize only the join keys their parents read — the
     /// charges are identical either way.
     #[default]
     CountOnly,
@@ -81,8 +86,67 @@ impl ExecOutput {
     }
 }
 
+/// What a plan node's consumer reads of its output. The top-down
+/// column-need pass threads one of these through [`Executor::run`]:
+/// each join adds its own key columns before recursing into its
+/// children, scans turn the need into a gather projection, and join
+/// outputs clone only the columns someone reads. Columns nobody reads
+/// stay empty ([`ColumnBatch::dense_projected`]); row counts travel
+/// explicitly, in [`OpOutput::count`] and each batch's row count.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Need {
+    /// Only the row count: the operator produces no batches (a
+    /// [`Collect::CountOnly`] plan root).
+    Count,
+    /// Batches carrying at least these columns, the rest left empty.
+    /// An empty list still yields batches, with rows but no values (a
+    /// `COUNT(*)` fold iterates them).
+    Cols(Vec<ColRef>),
+    /// Every column ([`Collect::Rows`] and EXPLAIN ANALYZE).
+    All,
+}
+
+impl Need {
+    /// The need of a join's inputs: the join's consumer's columns plus
+    /// the columns of the join's own predicates. Both sides of every
+    /// predicate are added; each scan keeps only its own table's.
+    fn with_keys<'p>(&self, preds: impl IntoIterator<Item = &'p JoinPred>) -> Need {
+        let mut cols = match self {
+            Need::All => return Need::All,
+            Need::Count => Vec::new(),
+            Need::Cols(cols) => cols.clone(),
+        };
+        cols.extend(preds.into_iter().flat_map(|j| [j.left, j.right]));
+        Need::Cols(cols)
+    }
+
+    /// The offsets within `layout` to materialize: `None` when the
+    /// consumer only counts. References to a table outside the layout,
+    /// or to a column past its table's arity, are skipped before any
+    /// gather — the operator owning such a reference reports it as
+    /// [`ExecError::UnknownColRef`], and a skipped offset can never
+    /// read a neighbouring table's column.
+    fn offsets(&self, db: &Database, layout: &TableLayout) -> Option<Vec<usize>> {
+        let cols = match self {
+            Need::Count => return None,
+            Need::All => return Some((0..layout.width()).collect()),
+            Need::Cols(cols) => cols,
+        };
+        let mut out: Vec<usize> = cols
+            .iter()
+            .filter_map(|&c| {
+                let pos = layout.col_of(c)?;
+                ((c.column as usize) < db.table(c.table).schema.arity()).then_some(pos)
+            })
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        Some(out)
+    }
+}
+
 /// One operator's output: the layout header, the live row count, and —
-/// only when the consumer needs values — the column batches.
+/// unless the consumer only counts — the column batches.
 pub(crate) struct OpOutput {
     pub(crate) layout: TableLayout,
     pub(crate) batches: Vec<ColumnBatch>,
@@ -91,12 +155,14 @@ pub(crate) struct OpOutput {
 
 impl OpOutput {
     /// Concatenate the batches into one dense batch (live rows only).
+    /// The row count is the operator's, not column 0's length: columns
+    /// nobody reads are empty.
     fn flatten(self) -> (TableLayout, ColumnBatch) {
         let mut cols: Vec<Vec<Value>> = vec![Vec::new(); self.layout.width()];
         for b in self.batches {
             b.drain_into(&mut cols);
         }
-        (self.layout, ColumnBatch::dense(cols))
+        (self.layout, ColumnBatch::dense_projected(cols, self.count as usize))
     }
 }
 
@@ -124,12 +190,15 @@ impl<'a> Executor<'a> {
     ) -> Result<ExecOutput, ExecError> {
         let span = colt_obs::span("engine.execute");
         let mut io = IoStats::new();
-        let need = collect == Collect::Rows;
-        let out = self.run(query, &plan.root, &mut io, need)?;
+        let need = match collect {
+            Collect::CountOnly => Need::Count,
+            Collect::Rows => Need::All,
+        };
+        let out = self.run(query, &plan.root, &mut io, &need)?;
         let millis = self.db.cost.millis_of(&io);
         span.sim_ms(millis);
         let mut rows = Vec::new();
-        if need {
+        if collect == Collect::Rows {
             for b in out.batches {
                 b.into_rows(&mut rows);
             }
@@ -183,24 +252,25 @@ impl<'a> Executor<'a> {
     ) -> Result<OpOutput, ExecError> {
         let pad = "  ".repeat(depth);
         let mut child_text = String::new();
+        let all = Need::All;
         let (result, own_io) = match node {
             PlanNode::Scan { table, path, .. } => {
                 let before = *io;
-                let b = self.run_scan(query, *table, path, io, true, None)?;
+                let b = self.run_scan(query, *table, path, io, &all)?;
                 (b, *io - before)
             }
             PlanNode::HashJoin { build, probe, on, .. } => {
                 let b = self.analyze_node(query, build, io, depth + 1, &mut child_text)?;
                 let p = self.analyze_node(query, probe, io, depth + 1, &mut child_text)?;
                 let before = *io;
-                let joined = self.hash_join(b, p, on, io, true)?;
+                let joined = self.hash_join(b, p, on, io, &all)?;
                 (joined, *io - before)
             }
             PlanNode::IndexNlJoin { outer, inner, index, probe_on, residual_on, .. } => {
                 let o = self.analyze_node(query, outer, io, depth + 1, &mut child_text)?;
                 let before = *io;
                 let joined =
-                    self.index_nl_join(query, o, *inner, *index, *probe_on, residual_on, io, true)?;
+                    self.index_nl_join(query, o, *inner, *index, *probe_on, residual_on, io, &all)?;
                 (joined, *io - before)
             }
         };
@@ -230,41 +300,40 @@ impl<'a> Executor<'a> {
         Ok(result)
     }
 
-    /// Execute a subtree. `need` says whether the consumer requires the
-    /// output *values*; when false (a [`Collect::CountOnly`] plan root)
-    /// operators skip materialization while charging identically.
+    /// Execute a subtree whose consumer reads `need` of its output. Join
+    /// nodes add their own key columns to the need before recursing, so
+    /// every scan gathers exactly the columns some ancestor reads; the
+    /// charges are identical whatever the need.
     pub(crate) fn run(
         &self,
         query: &Query,
         node: &PlanNode,
         io: &mut IoStats,
-        need: bool,
+        need: &Need,
     ) -> Result<OpOutput, ExecError> {
         match node {
-            PlanNode::Scan { table, path, .. } => {
-                self.run_scan(query, *table, path, io, need, None)
-            }
+            PlanNode::Scan { table, path, .. } => self.run_scan(query, *table, path, io, need),
             PlanNode::HashJoin { build, probe, on, .. } => {
                 colt_obs::counter("engine.op.hash_join", 1);
-                let b = self.run(query, build, io, true)?;
-                let p = self.run(query, probe, io, true)?;
+                let inputs = need.with_keys(on);
+                let b = self.run(query, build, io, &inputs)?;
+                let p = self.run(query, probe, io, &inputs)?;
                 self.hash_join(b, p, on, io, need)
             }
             PlanNode::IndexNlJoin { outer, inner, index, probe_on, residual_on, .. } => {
                 colt_obs::counter("engine.op.index_nl_join", 1);
-                let o = self.run(query, outer, io, true)?;
+                let inputs = need.with_keys(once(probe_on).chain(residual_on));
+                let o = self.run(query, outer, io, &inputs)?;
                 self.index_nl_join(query, o, *inner, *index, *probe_on, residual_on, io, need)
             }
         }
     }
 
-    /// Run one scan node. `proj`, when present, lists the only column
-    /// offsets whose values the consumer will read: the gather then
-    /// materializes just those columns and leaves the rest empty (see
-    /// [`ColumnBatch::dense_projected`]). Selection predicates are
-    /// evaluated against the heap rows *before* the gather, so predicate
-    /// columns never need to appear in `proj`. Charges are identical
-    /// with and without a projection — the cost model counts pages and
+    /// Run one scan node, gathering only the columns `need` names (see
+    /// [`Need::offsets`]) and leaving the rest empty. Selection
+    /// predicates are evaluated against the heap rows *before* the
+    /// gather, so predicate columns need not be named. Charges are
+    /// identical whatever the need — the cost model counts pages and
     /// tuples processed, not values copied.
     pub(crate) fn run_scan(
         &self,
@@ -272,8 +341,7 @@ impl<'a> Executor<'a> {
         table: TableId,
         path: &AccessPath,
         io: &mut IoStats,
-        need: bool,
-        proj: Option<&[usize]>,
+        need: &Need,
     ) -> Result<OpOutput, ExecError> {
         colt_obs::counter(
             match path {
@@ -287,6 +355,7 @@ impl<'a> Executor<'a> {
         let layout = TableLayout::single(self.db, table);
         let preds: Vec<&SelPred> = query.selections_on(table).collect();
         check_pred_cols("scan", &preds, layout.width())?;
+        let proj = need.offsets(self.db, &layout);
 
         let _batch_span = colt_obs::span("engine.exec.batch");
         let mut batches = Vec::new();
@@ -300,7 +369,7 @@ impl<'a> Executor<'a> {
                     io.cpu_ops += (preds.len() * chunk.len()) as u64;
                     select_rows(chunk, &preds, None, &mut sel);
                     count += sel.len() as u64;
-                    if need && !sel.is_empty() {
+                    if let Some(proj) = proj.as_deref().filter(|_| !sel.is_empty()) {
                         batches.push(gather_rows(chunk, &sel, layout.width(), proj));
                     }
                 }
@@ -313,7 +382,7 @@ impl<'a> Executor<'a> {
                     io.cpu_ops += (preds.len() * chunk.len()) as u64;
                     select_rows(chunk, &preds, None, &mut sel);
                     count += sel.len() as u64;
-                    if need && !sel.is_empty() {
+                    if let Some(proj) = proj.as_deref().filter(|_| !sel.is_empty()) {
                         batches.push(gather_rows(chunk, &sel, layout.width(), proj));
                     }
                 }
@@ -328,7 +397,7 @@ impl<'a> Executor<'a> {
                     io.cpu_ops += ((preds.len() - 1) * chunk.len()) as u64;
                     select_rows(chunk, &preds, Some(driver_idx), &mut sel);
                     count += sel.len() as u64;
-                    if need && !sel.is_empty() {
+                    if let Some(proj) = proj.as_deref().filter(|_| !sel.is_empty()) {
                         batches.push(gather_rows(chunk, &sel, layout.width(), proj));
                     }
                 }
@@ -341,9 +410,9 @@ impl<'a> Executor<'a> {
         &self,
         build: OpOutput,
         probe: OpOutput,
-        on: &[crate::query::JoinPred],
+        on: &[JoinPred],
         io: &mut IoStats,
-        need: bool,
+        need: &Need,
     ) -> Result<OpOutput, ExecError> {
         // Locate each join key within the concatenated layouts.
         let key_positions = |layout: &TableLayout| -> Result<Vec<usize>, ExecError> {
@@ -371,9 +440,8 @@ impl<'a> Executor<'a> {
         // probe side streams through batch by batch.
         let (build_layout, build_flat) = build.flatten();
         let build_rows = build_flat.physical_rows();
-        let build_width = build_layout.width();
         let layout = TableLayout::join(&build_layout, &probe.layout);
-        let mut acc = OutAcc::new(layout.width(), need);
+        let mut acc = OutAcc::new(self.db, &layout, build_layout.width(), need);
 
         if on.is_empty() {
             // Cartesian product, build-major like the reference — which
@@ -382,10 +450,10 @@ impl<'a> Executor<'a> {
             let probe_rows = probe_flat.physical_rows();
             io.cpu_ops += 2 * build_rows as u64;
             io.cpu_ops += build_rows as u64 * probe_rows as u64;
-            if need {
+            if acc.keep.is_some() {
                 for b in 0..build_rows {
                     for p in 0..probe_rows {
-                        acc.push_pair(&build_flat, b, build_width, &probe_flat, p);
+                        acc.push_pair(&build_flat, b, &probe_flat, p);
                     }
                 }
             } else {
@@ -434,7 +502,7 @@ impl<'a> Executor<'a> {
                 };
                 if let Some(matches) = matches {
                     for &bi in matches {
-                        acc.push_pair(&build_flat, bi as usize, build_width, pb, p);
+                        acc.push_pair(&build_flat, bi as usize, pb, p);
                     }
                 }
             }
@@ -454,10 +522,10 @@ impl<'a> Executor<'a> {
         outer: OpOutput,
         inner: TableId,
         index_col: ColRef,
-        probe_on: crate::query::JoinPred,
-        residual_on: &[crate::query::JoinPred],
+        probe_on: JoinPred,
+        residual_on: &[JoinPred],
         io: &mut IoStats,
-        need: bool,
+        need: &Need,
     ) -> Result<OpOutput, ExecError> {
         let inner_table = self.db.table(inner);
         let index = materialized_index("index_nl_join", self.config, index_col)?;
@@ -494,9 +562,8 @@ impl<'a> Executor<'a> {
 
         let _batch_span = colt_obs::span("engine.exec.batch");
         let (outer_layout, outer_flat) = outer.flatten();
-        let outer_width = outer_layout.width();
         let layout = TableLayout::join(&outer_layout, &TableLayout::single(self.db, inner));
-        let mut acc = OutAcc::new(layout.width(), need);
+        let mut acc = OutAcc::new(self.db, &layout, outer_layout.width(), need);
         // One probe per outer row, reusing the rowid buffer. Page
         // charges deduplicate within one fetch only (per probe), never
         // across probes — merging rowids across outer rows would change
@@ -512,7 +579,7 @@ impl<'a> Executor<'a> {
                 let res_ok =
                     residuals.iter().all(|&(op, ic)| outer_flat.val(op, o) == &irow[ic]);
                 if sel_ok && res_ok {
-                    acc.push_row_suffix(&outer_flat, o, outer_width, irow);
+                    acc.push_row_suffix(&outer_flat, o, irow);
                 }
             }
         }
@@ -522,56 +589,59 @@ impl<'a> Executor<'a> {
     }
 }
 
-/// Output accumulator for join operators: collects result values column
-/// by column, emitting a dense [`ColumnBatch`] every [`BATCH_ROWS`]
-/// rows. With `need == false` it only counts.
+/// Output accumulator for join operators: collects the output columns
+/// the consumer reads, emitting a dense [`ColumnBatch`] every
+/// [`BATCH_ROWS`] rows. Unread columns stay empty; under
+/// [`Need::Count`] it only counts.
 struct OutAcc {
     cols: Vec<Vec<Value>>,
+    /// Output offsets to fill: those fed by the left input, then those
+    /// fed by the right one. `None` when the consumer only counts.
+    keep: Option<(Vec<usize>, Vec<usize>)>,
+    /// The left input's width: right offset `c` reads right column
+    /// `c - split`.
+    split: usize,
     batches: Vec<ColumnBatch>,
     count: u64,
     pending: usize,
-    need: bool,
 }
 
 impl OutAcc {
-    fn new(width: usize, need: bool) -> Self {
-        OutAcc { cols: vec![Vec::new(); width], batches: Vec::new(), count: 0, pending: 0, need }
+    fn new(db: &Database, layout: &TableLayout, split: usize, need: &Need) -> Self {
+        let keep = need.offsets(db, layout).map(|keep| keep.into_iter().partition(|&c| c < split));
+        OutAcc {
+            cols: vec![Vec::new(); layout.width()],
+            keep,
+            split,
+            batches: Vec::new(),
+            count: 0,
+            pending: 0,
+        }
     }
 
     /// Append `left`'s physical row `li` followed by `right`'s physical
     /// row `ri`.
-    fn push_pair(
-        &mut self,
-        left: &ColumnBatch,
-        li: usize,
-        left_width: usize,
-        right: &ColumnBatch,
-        ri: usize,
-    ) {
+    fn push_pair(&mut self, left: &ColumnBatch, li: usize, right: &ColumnBatch, ri: usize) {
         self.count += 1;
-        if !self.need {
-            return;
-        }
-        for c in 0..left_width {
+        let Some((lk, rk)) = &self.keep else { return };
+        for &c in lk {
             self.cols[c].push(left.val(c, li).clone());
         }
-        for c in left_width..self.cols.len() {
-            self.cols[c].push(right.val(c - left_width, ri).clone());
+        for &c in rk {
+            self.cols[c].push(right.val(c - self.split, ri).clone());
         }
         self.bump();
     }
 
     /// Append `left`'s physical row `li` followed by a borrowed row.
-    fn push_row_suffix(&mut self, left: &ColumnBatch, li: usize, left_width: usize, row: &Row) {
+    fn push_row_suffix(&mut self, left: &ColumnBatch, li: usize, row: &Row) {
         self.count += 1;
-        if !self.need {
-            return;
-        }
-        for c in 0..left_width {
+        let Some((lk, rk)) = &self.keep else { return };
+        for &c in lk {
             self.cols[c].push(left.val(c, li).clone());
         }
-        for (c, v) in row.iter().enumerate() {
-            self.cols[left_width + c].push(v.clone());
+        for &c in rk {
+            self.cols[c].push(row[c - self.split].clone());
         }
         self.bump();
     }
@@ -587,7 +657,7 @@ impl OutAcc {
         if self.pending > 0 {
             let width = self.cols.len();
             let full = std::mem::replace(&mut self.cols, vec![Vec::new(); width]);
-            self.batches.push(ColumnBatch::dense(full));
+            self.batches.push(ColumnBatch::dense_projected(full, self.pending));
             self.pending = 0;
         }
     }
@@ -648,32 +718,18 @@ pub(crate) fn select_rows<R: std::borrow::Borrow<Row>>(
 }
 
 /// Gather the selected rows of a chunk into a dense column batch,
-/// column by column. With a projection, only the listed column offsets
-/// are materialized — the rest stay empty (pruned), which is what makes
-/// the aggregate's scan-level projection pay: unread columns (string
-/// columns especially) are never cloned at all.
+/// column by column. Only the offsets in `proj` are materialized — the
+/// rest stay empty (pruned), so unread columns (string columns
+/// especially) are never cloned at all.
 fn gather_rows<R: std::borrow::Borrow<Row>>(
     rows: &[R],
     sel: &[u32],
     width: usize,
-    proj: Option<&[usize]>,
+    proj: &[usize],
 ) -> ColumnBatch {
     let mut cols: Vec<Vec<Value>> = vec![Vec::new(); width];
-    let gather = |col: &mut Vec<Value>, c: usize| {
-        col.reserve(sel.len());
-        col.extend(sel.iter().map(|&i| rows[i as usize].borrow()[c].clone()));
-    };
-    match proj {
-        None => {
-            for (c, col) in cols.iter_mut().enumerate() {
-                gather(col, c);
-            }
-        }
-        Some(ps) => {
-            for &c in ps {
-                gather(&mut cols[c], c);
-            }
-        }
+    for &c in proj {
+        cols[c] = sel.iter().map(|&i| rows[i as usize].borrow()[c].clone()).collect();
     }
     ColumnBatch::dense_projected(cols, sel.len())
 }
@@ -1212,27 +1268,41 @@ mod tests {
 
     #[test]
     fn out_of_range_column_is_typed_error_not_panic() {
-        // A predicate (or join key) referencing a column beyond the
-        // table's arity used to be an unchecked indexing panic inside
-        // the operator loop; it must surface as ExecError::UnknownColRef
-        // at the batch boundary.
+        // A predicate, join key, or aggregate column referencing a
+        // column beyond the table's arity used to be an unchecked
+        // indexing panic inside the operator loop; it must surface as
+        // ExecError::UnknownColRef at the batch boundary. The column-need
+        // pass pushes join keys and aggregate columns down to the scans,
+        // so every case runs under both collect modes (all columns vs
+        // pruned) and the scans must skip the bad reference rather than
+        // gather it.
+        use crate::aggregate::{AggExpr, AggSpec};
         use crate::plan::{AccessPath, PlanNode};
         let (db, fact, dim) = db();
         let cfg = PhysicalConfig::new();
         let bad = ColRef::new(fact, 9);
-        let q = Query::single(fact, vec![SelPred::eq(bad, 1i64)]);
         let scan = |t: TableId| PlanNode::Scan {
             table: t,
             path: AccessPath::SeqScan,
             est_rows: 1.0,
             est_cost: 1.0,
         };
-        let plan = Plan { root: scan(fact) };
-        let err = Executor::new(&db, &cfg).execute(&q, &plan, Collect::CountOnly).unwrap_err();
-        assert_eq!(err, ExecError::UnknownColRef { operator: "scan", col: bad });
-        assert!(err.to_string().contains("input"), "{err}");
-        // Through a hand-built join key.
-        let plan = Plan {
+        let jq = Query::join(vec![fact, dim], vec![], vec![]);
+        let fk = ColRef::new(fact, 1);
+        let mut icfg = PhysicalConfig::new();
+        icfg.create_index(&db, fk, IndexOrigin::Online);
+        let inlj = |residual: JoinPred| Plan {
+            root: PlanNode::IndexNlJoin {
+                outer: Box::new(scan(dim)),
+                inner: fact,
+                index: fk,
+                probe_on: JoinPred::new(fk, ColRef::new(dim, 0)),
+                residual_on: vec![residual],
+                est_rows: 1.0,
+                est_cost: 2.0,
+            },
+        };
+        let hash = Plan {
             root: PlanNode::HashJoin {
                 build: Box::new(scan(fact)),
                 probe: Box::new(scan(dim)),
@@ -1241,9 +1311,50 @@ mod tests {
                 est_cost: 2.0,
             },
         };
-        let jq = Query::join(vec![fact, dim], vec![], vec![]);
-        let err = Executor::new(&db, &cfg).execute(&jq, &plan, Collect::CountOnly).unwrap_err();
-        assert_eq!(err, ExecError::UnknownColRef { operator: "hash_join", col: bad });
+        let dim_bad = ColRef::new(dim, 7);
+        let cases: Vec<(&PhysicalConfig, Query, Plan, ExecError)> = vec![
+            // A selection predicate.
+            (
+                &cfg,
+                Query::single(fact, vec![SelPred::eq(bad, 1i64)]),
+                Plan { root: scan(fact) },
+                ExecError::UnknownColRef { operator: "scan", col: bad },
+            ),
+            // A hand-built hash join key.
+            (&cfg, jq.clone(), hash, ExecError::UnknownColRef { operator: "hash_join", col: bad }),
+            // INLJ residual keys, on the outer side and on the inner side.
+            (
+                &icfg,
+                jq.clone(),
+                inlj(JoinPred::new(dim_bad, ColRef::new(fact, 2))),
+                ExecError::UnknownColRef { operator: "index_nl_join", col: dim_bad },
+            ),
+            (
+                &icfg,
+                jq.clone(),
+                inlj(JoinPred::new(ColRef::new(dim, 1), bad)),
+                ExecError::UnknownColRef { operator: "index_nl_join", col: bad },
+            ),
+        ];
+        for (cfg, q, plan, want) in &cases {
+            for collect in [Collect::CountOnly, Collect::Rows] {
+                let err = Executor::new(&db, cfg).execute(q, plan, collect).unwrap_err();
+                assert_eq!(&err, want, "{collect:?}");
+                assert!(err.to_string().contains("input"), "{err}");
+            }
+        }
+        // An out-of-range aggregate group-by over a join plan: the fold's
+        // need reaches the `fact` scan, which must not gather column 9.
+        let q = Query::join(
+            vec![fact, dim],
+            vec![JoinPred::new(fk, ColRef::new(dim, 0))],
+            vec![SelPred::eq(ColRef::new(dim, 1), 2i64)],
+        );
+        let plan = Optimizer::new(&db).optimize(&q, IndexSetView::real(&cfg));
+        assert!(matches!(plan.root, PlanNode::HashJoin { .. }), "{}", plan.explain());
+        let spec = AggSpec { group_by: vec![bad], exprs: vec![AggExpr::count_star()] };
+        let err = Executor::new(&db, &cfg).execute_aggregate(&q, &plan, &spec).unwrap_err();
+        assert_eq!(err, ExecError::UnknownColRef { operator: "aggregate", col: bad });
     }
 
     #[test]

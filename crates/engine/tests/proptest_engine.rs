@@ -6,8 +6,8 @@
 
 use colt_catalog::{ColRef, Column, Database, IndexOrigin, PhysicalConfig, TableId, TableSchema};
 use colt_engine::{
-    Collect, Eqo, Executor, IndexSetView, Optimizer, PredicateKind, Query, RowwiseExecutor,
-    SelPred,
+    AccessPath, AggExpr, AggFunc, AggSpec, Collect, Eqo, Executor, IndexSetView, JoinPred,
+    Optimizer, OptimizerOptions, Plan, PlanNode, PredicateKind, Query, RowwiseExecutor, SelPred,
 };
 use colt_storage::{row_from, Prng, Value, ValueType};
 
@@ -124,7 +124,6 @@ fn single_table_matches_reference() {
 /// indexes (including the INLJ-enabled optimizer).
 #[test]
 fn join_matches_reference() {
-    use colt_engine::{JoinPred, OptimizerOptions};
     let mut rng = Prng::new(0xE21E_0002);
     for case in 0..40u64 {
         let n_a = 1 + rng.below(399);
@@ -221,7 +220,6 @@ fn optimizer_never_pessimizes() {
 /// Aggregation counts always match the plain result cardinality.
 #[test]
 fn aggregate_count_matches_rows() {
-    use colt_engine::{AggExpr, AggSpec};
     let mut rng = Prng::new(0xE21E_0005);
     for case in 0..40u64 {
         let n = 1 + rng.below(499);
@@ -273,7 +271,6 @@ fn parsed_sql_matches_reference() {
 /// configuration and optimizer option.
 #[test]
 fn three_table_chain_matches_reference() {
-    use colt_engine::{JoinPred, OptimizerOptions};
     let mut rng = Prng::new(0xE21E_0007);
     for case in 0..24u64 {
         let n_a = 1 + rng.below(149);
@@ -322,7 +319,6 @@ fn three_table_chain_matches_reference() {
 /// configurations and plan shapes.
 #[test]
 fn vectorized_matches_rowwise_reference() {
-    use colt_engine::{JoinPred, OptimizerOptions};
     let mut rng = Prng::new(0xE21E_000A);
     for case in 0..40u64 {
         let n_a = 1 + rng.below(2999);
@@ -350,14 +346,185 @@ fn vectorized_matches_rowwise_reference() {
         }
         let opt = Optimizer::with_options(&db, OptimizerOptions { enable_index_nl_join: inlj });
         let plan = opt.optimize(&q, IndexSetView::real(&cfg));
-        let vec_out = Executor::new(&db, &cfg).execute(&q, &plan, Collect::Rows).unwrap();
-        let row_out = RowwiseExecutor::new(&db, &cfg).execute(&q, &plan, Collect::Rows).unwrap();
-        let ctx = format!("case {case}: {}", plan.explain());
-        assert_eq!(vec_out.row_count(), row_out.row_count(), "{ctx}");
-        assert_eq!(vec_out.result.io, row_out.result.io, "{ctx}");
-        assert_eq!(vec_out.layout, row_out.layout, "{ctx}");
-        assert_eq!(vec_out.rows, row_out.rows, "row order must match exactly; {ctx}");
-        assert!((vec_out.millis() - row_out.millis()).abs() < 1e-12, "{ctx}");
+        assert_executors_agree(&db, &cfg, &q, &plan, &format!("case {case}"));
+    }
+}
+
+/// Both executors agree on `plan` under both collect modes: same row
+/// count, `IoStats`, simulated clock and layout, and — under
+/// [`Collect::Rows`] — the same rows in the same order. `Rows` runs the
+/// executor with every column materialized; `CountOnly` runs it with
+/// only the join keys gathered, the pruned path.
+fn assert_executors_agree(db: &Database, cfg: &PhysicalConfig, q: &Query, plan: &Plan, ctx: &str) {
+    for collect in [Collect::Rows, Collect::CountOnly] {
+        let v = Executor::new(db, cfg).execute(q, plan, collect).unwrap();
+        let r = RowwiseExecutor::new(db, cfg).execute(q, plan, collect).unwrap();
+        let ctx = format!("{collect:?}, {ctx}: {}", plan.explain());
+        assert_eq!(v.row_count(), r.row_count(), "{ctx}");
+        assert_eq!(v.result.io, r.result.io, "{ctx}");
+        assert_eq!(v.layout, r.layout, "{ctx}");
+        assert_eq!(v.rows, r.rows, "row order must match exactly; {ctx}");
+        assert!((v.millis() - r.millis()).abs() < 1e-12, "{ctx}");
+    }
+}
+
+/// Both executors fold `spec` over `plan` identically — group order,
+/// float accumulation order, and charges included.
+fn assert_aggregates_agree(
+    db: &Database,
+    cfg: &PhysicalConfig,
+    q: &Query,
+    plan: &Plan,
+    spec: &AggSpec,
+    ctx: &str,
+) {
+    let (vres, vrows) = Executor::new(db, cfg).execute_aggregate(q, plan, spec).unwrap();
+    let (rres, rrows) = RowwiseExecutor::new(db, cfg).execute_aggregate(q, plan, spec).unwrap();
+    let ctx = format!("{ctx}: {}", plan.explain());
+    assert_eq!(vrows, rrows, "{ctx}");
+    assert_eq!(vres.io, rres.io, "{ctx}");
+    assert_eq!(vres.row_count, rres.row_count, "{ctx}");
+}
+
+/// `build_db` plus a third table `c(id, label)` whose string column is
+/// the kind of value the column-need pass avoids cloning.
+fn build_chain_db(n_a: usize, n_b: usize, n_c: usize) -> (Database, TableId, TableId, TableId) {
+    let (mut db, a, b) = build_db(n_a, n_b);
+    let c = db.add_table(TableSchema::new(
+        "c",
+        vec![Column::new("id", ValueType::Int), Column::new("label", ValueType::Str)],
+    ));
+    db.insert_rows(
+        c,
+        (0..n_c as i64).map(|i| row_from(vec![Value::Int(i), Value::Str(format!("label-{i}"))])),
+    );
+    db.analyze_all();
+    (db, a, b, c)
+}
+
+fn seq_scan(table: TableId) -> PlanNode {
+    PlanNode::Scan { table, path: AccessPath::SeqScan, est_rows: 1.0, est_cost: 1.0 }
+}
+
+fn hash_join(build: PlanNode, probe: PlanNode, on: Vec<JoinPred>) -> PlanNode {
+    PlanNode::HashJoin {
+        build: Box::new(build),
+        probe: Box::new(probe),
+        on,
+        est_rows: 1.0,
+        est_cost: 1.0,
+    }
+}
+
+/// Join shapes the optimizer rarely or never picks on small inputs,
+/// built by hand so every one is covered on every case: hash over hash,
+/// INLJ over hash, INLJ with a residual key, and a cartesian product.
+/// Each runs under both collect modes and under aggregates that read
+/// columns from every input, against the row-at-a-time reference.
+#[test]
+fn vectorized_matches_rowwise_on_join_shapes() {
+    let mut rng = Prng::new(0xE21E_000C);
+    for case in 0..16u64 {
+        let n_a = 1 + rng.below(1999);
+        let n_b = 1 + rng.below(39);
+        let n_c = 1 + rng.below(7);
+        let ps = preds(&mut rng, TableId(0), 2);
+        let (db, a, b, c) = build_chain_db(n_a, n_b, n_c);
+        let (a_fk, b_id, b_w, c_id) =
+            (ColRef::new(a, 1), ColRef::new(b, 0), ColRef::new(b, 1), ColRef::new(c, 0));
+        let ab = JoinPred::new(a_fk, b_id);
+        let bc = JoinPred::new(b_w, c_id);
+        let mut cfg = PhysicalConfig::new();
+        cfg.create_index(&db, c_id, IndexOrigin::Online);
+        cfg.create_index(&db, a_fk, IndexOrigin::Online);
+
+        let chain = Query::join(vec![a, b, c], vec![ab, bc], ps.clone());
+        let residual = JoinPred::new(ColRef::new(a, 2), b_w);
+        let pair = Query::join(vec![a, b], vec![ab, residual], ps.clone());
+        let cross = Query::join(vec![a, c], vec![], ps);
+        let b_hash_a = || hash_join(seq_scan(b), seq_scan(a), vec![ab]);
+        let shapes: Vec<(&str, &Query, Plan)> = vec![
+            (
+                "hash over hash",
+                &chain,
+                Plan { root: hash_join(b_hash_a(), seq_scan(c), vec![bc]) },
+            ),
+            (
+                "hash with a hash probe side",
+                &chain,
+                Plan {
+                    root: hash_join(
+                        seq_scan(c),
+                        hash_join(seq_scan(a), seq_scan(b), vec![ab]),
+                        vec![bc],
+                    ),
+                },
+            ),
+            (
+                "INLJ over hash",
+                &chain,
+                Plan {
+                    root: PlanNode::IndexNlJoin {
+                        outer: Box::new(b_hash_a()),
+                        inner: c,
+                        index: c_id,
+                        probe_on: bc,
+                        residual_on: vec![],
+                        est_rows: 1.0,
+                        est_cost: 1.0,
+                    },
+                },
+            ),
+            (
+                "INLJ with a residual key",
+                &pair,
+                Plan {
+                    root: PlanNode::IndexNlJoin {
+                        outer: Box::new(seq_scan(b)),
+                        inner: a,
+                        index: a_fk,
+                        probe_on: ab,
+                        residual_on: vec![residual],
+                        est_rows: 1.0,
+                        est_cost: 1.0,
+                    },
+                },
+            ),
+            ("cartesian", &cross, Plan { root: hash_join(seq_scan(c), seq_scan(a), vec![]) }),
+        ];
+        for (shape, q, plan) in &shapes {
+            let ctx = format!("case {case}, {shape}");
+            assert_executors_agree(&db, &cfg, q, plan, &ctx);
+            // Aggregates read a column from each input, one group-by
+            // column from a join's non-key side, and nothing at all.
+            let last = *q.tables.last().unwrap();
+            let specs = [
+                AggSpec {
+                    group_by: vec![ColRef::new(last, 1)],
+                    exprs: vec![
+                        AggExpr::count_star(),
+                        AggExpr::over(AggFunc::Sum, ColRef::new(a, 2)),
+                        AggExpr::over(AggFunc::Max, ColRef::new(last, 0)),
+                    ],
+                },
+                AggSpec { group_by: vec![], exprs: vec![AggExpr::count_star()] },
+            ];
+            for spec in &specs {
+                assert_aggregates_agree(&db, &cfg, q, plan, spec, &ctx);
+            }
+        }
+        // And whatever the optimizer picks for the chain.
+        for inlj in [false, true] {
+            let opt = Optimizer::with_options(&db, OptimizerOptions { enable_index_nl_join: inlj });
+            let plan = opt.optimize(&chain, IndexSetView::real(&cfg));
+            let ctx = format!("case {case}, optimizer (inlj={inlj})");
+            assert_executors_agree(&db, &cfg, &chain, &plan, &ctx);
+            let spec = AggSpec {
+                group_by: vec![ColRef::new(c, 1)],
+                exprs: vec![AggExpr::count_star(), AggExpr::over(AggFunc::Avg, ColRef::new(a, 0))],
+            };
+            assert_aggregates_agree(&db, &cfg, &chain, &plan, &spec, &ctx);
+        }
     }
 }
 
@@ -365,7 +532,6 @@ fn vectorized_matches_rowwise_reference() {
 /// float accumulation order, and charges included.
 #[test]
 fn vectorized_aggregate_matches_rowwise_reference() {
-    use colt_engine::{AggExpr, AggFunc, AggSpec};
     let mut rng = Prng::new(0xE21E_000B);
     for case in 0..25u64 {
         let n = 1 + rng.below(2999);
@@ -382,13 +548,7 @@ fn vectorized_aggregate_matches_rowwise_reference() {
                 AggExpr::over(AggFunc::Avg, ColRef::new(a, 0)),
             ],
         };
-        let (vres, vrows) =
-            Executor::new(&db, &cfg).execute_aggregate(&q, &plan, &spec).unwrap();
-        let (rres, rrows) =
-            RowwiseExecutor::new(&db, &cfg).execute_aggregate(&q, &plan, &spec).unwrap();
-        assert_eq!(vrows, rrows, "case {case}");
-        assert_eq!(vres.io, rres.io, "case {case}");
-        assert_eq!(vres.row_count, rres.row_count, "case {case}");
+        assert_aggregates_agree(&db, &cfg, &q, &plan, &spec, &format!("case {case}"));
     }
 }
 

@@ -74,15 +74,83 @@ impl Level {
         }
     }
 
-    /// The level selected by `COLT_OBS` (default [`Level::Summary`];
-    /// unrecognized values also fall back to the default). The value is
-    /// read once per process.
+    /// The level `COLT_OBS` selects, checked: unset or blank means
+    /// [`Level::Summary`], and any value [`Level::parse`] rejects is an
+    /// [`EnvError`] naming the variable and the value.
+    pub fn try_from_env() -> Result<Level, EnvError> {
+        parse_env("COLT_OBS", "off, summary or full", Level::parse).map(Option::unwrap_or_default)
+    }
+
+    /// The level selected by `COLT_OBS` (default [`Level::Summary`]),
+    /// read once per process. Instrumented library code cannot fail, so
+    /// a malformed value falls back to the default here; binaries reject
+    /// it first with [`Level::try_from_env`].
     pub fn from_env() -> Level {
         static ENV: OnceLock<Level> = OnceLock::new();
-        *ENV.get_or_init(|| {
-            std::env::var("COLT_OBS").ok().and_then(|s| Level::parse(&s)).unwrap_or_default()
-        })
+        *ENV.get_or_init(|| Level::try_from_env().unwrap_or_default())
     }
+}
+
+/// A malformed environment variable: which variable, the value it held,
+/// and what it accepts. Drivers report it and exit rather than run with
+/// a default nobody asked for.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EnvError {
+    /// The variable, e.g. `COLT_OBS`.
+    pub var: &'static str,
+    /// The value it held (lossily decoded when not UTF-8).
+    pub value: String,
+    /// What the variable accepts.
+    pub expected: &'static str,
+}
+
+impl std::fmt::Display for EnvError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}={:?} is malformed: expected {}", self.var, self.value, self.expected)
+    }
+}
+
+impl std::error::Error for EnvError {}
+
+impl EnvError {
+    /// Print the error to stderr and end the process with status 2, the
+    /// binaries' status for bad input. Every level prints it: the input
+    /// being rejected may be `COLT_OBS` itself.
+    pub fn exit(&self) -> ! {
+        eprintln!("error: {self}");
+        std::process::exit(2)
+    }
+}
+
+/// Read environment variable `var` and parse it: `Ok(None)` when it is
+/// unset or blank, an [`EnvError`] when it holds anything `parse`
+/// rejects. Blank counts as unset so that `VAR= cmd` keeps the default.
+pub fn parse_env<T>(
+    var: &'static str,
+    expected: &'static str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<Option<T>, EnvError> {
+    match std::env::var(var) {
+        Ok(value) => parse_env_value(var, &value, expected, parse),
+        Err(std::env::VarError::NotPresent) => Ok(None),
+        Err(std::env::VarError::NotUnicode(raw)) => {
+            Err(EnvError { var, value: raw.to_string_lossy().into_owned(), expected })
+        }
+    }
+}
+
+/// [`parse_env`]'s check of a value already read: blank means unset,
+/// anything else must satisfy `parse`.
+fn parse_env_value<T>(
+    var: &'static str,
+    value: &str,
+    expected: &'static str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<Option<T>, EnvError> {
+    if value.trim().is_empty() {
+        return Ok(None);
+    }
+    parse(value).map(Some).ok_or_else(|| EnvError { var, value: value.to_string(), expected })
 }
 
 thread_local! {
@@ -338,6 +406,20 @@ mod tests {
         assert_eq!(Level::parse("SUMMARY"), Some(Level::Summary));
         assert_eq!(Level::parse(" full "), Some(Level::Full));
         assert_eq!(Level::parse("banana"), None);
+    }
+
+    #[test]
+    fn malformed_env_values_are_typed_errors() {
+        let level = |v: &str| parse_env_value("COLT_OBS", v, "off, summary or full", Level::parse);
+        assert_eq!(level("full"), Ok(Some(Level::Full)));
+        assert_eq!(level("  "), Ok(None), "blank means unset");
+        let err = level("ful").unwrap_err();
+        assert_eq!(
+            err,
+            EnvError { var: "COLT_OBS", value: "ful".into(), expected: "off, summary or full" }
+        );
+        let text = err.to_string();
+        assert!(text.contains("COLT_OBS") && text.contains("\"ful\""), "{text}");
         assert_eq!(Level::default(), Level::Summary);
     }
 }
